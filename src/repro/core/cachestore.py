@@ -1,29 +1,18 @@
-"""Content-addressed on-disk store for stage-cache entries.
+"""The cache primitive: a memory LRU over a content-addressed disk store.
 
 The paper's farm model keeps one *central store* that every worker reads
 from and writes back to; the Pipeline-Centric Provenance Model (PAPERS.md)
-supplies the key.  This module is the meeting point: a directory of
-pickled :class:`~repro.core.stagecache.CachedStage` snapshots addressed by
-the ``stage_key`` SHA-256, shared by every worker process of a run and by
-every *run* that points at the same root.
+supplies the key.  :class:`DiskCacheStore` is that store: pickled entries
+at ``root/<key[:2]>/<key>.pkl``, shared by every worker process and every
+run pointed at one root.  Writes are atomic (temp file + ``os.replace``),
+reads are lock-free (a missing, torn, or unpicklable file is a miss that
+only costs a recompute), and racing writers of one content key write
+equivalent payloads.  Reads touch the file's mtime; a write-triggered
+:meth:`DiskCacheStore.gc` evicts oldest-first past the store's bounds.
 
-Layout and concurrency contract:
-
-* an entry lives at ``root/<key[:2]>/<key>.pkl`` — two-level fan-out so a
-  large store never piles every file into one directory;
-* writes are **atomic**: the payload is pickled to a temp file in the
-  same directory and ``os.replace``d into place, so a reader can never
-  observe a torn entry — it sees the old file, the new file, or no file;
-* reads are **lock-free**: a missing, truncated, or unpicklable file is
-  simply a miss (another process may GC or replace a file at any moment —
-  that is allowed and only costs a recompute);
-* keys are content addresses, so two processes racing to write the same
-  key write byte-equivalent payloads and either winner is correct.
-
-Recency is tracked through file mtimes — a read touches the file — and
-:meth:`DiskCacheStore.gc` evicts oldest-first until the store fits the
-configured ``max_bytes`` / ``max_entries`` bounds (write-triggered, so
-the store is self-bounding without a daemon).
+:class:`TieredCache` is the one memory LRU of the core — the stage cache
+and the read cache are thin layers over it — with optional TinyLFU
+admission and read-through/write-through to a disk store.
 """
 
 from __future__ import annotations
@@ -31,10 +20,13 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+import threading
+from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import CacheError
+from repro.core.telemetry import Counter, MetricsRegistry
 
 _SUFFIX = ".pkl"
 
@@ -209,4 +201,217 @@ class DiskCacheStore:
         )
 
 
-__all__: Tuple[str, ...] = ("DiskCacheStore",)
+#: A sketch ages when its total count reaches ``capacity`` times this:
+#: every count is halved (zeros dropped), so popularity is
+#: recency-weighted rather than eternal.
+_SKETCH_DECAY_FACTOR = 10
+
+
+class FrequencySketch:
+    """TinyLFU popularity counts, aged by halving when they saturate."""
+
+    def __init__(self, capacity: int):
+        self.limit = capacity * _SKETCH_DECAY_FACTOR
+        self._counts: Dict[str, int] = {}
+        self._total = 0
+
+    def record(self, key: str) -> None:
+        self._counts[key] = self._counts.get(key, 0) + 1
+        self._total += 1
+        if self._total >= self.limit:
+            self._counts = {k: c // 2 for k, c in self._counts.items() if c // 2 > 0}
+            self._total = sum(self._counts.values())
+
+    def frequency(self, key: str) -> int:
+        return self._counts.get(key, 0)
+
+    def clear(self) -> None:
+        self._counts.clear()
+        self._total = 0
+
+
+class CacheCounters:
+    """Counters named ``<prefix><name>``, each bound on first use.
+
+    ``CacheCounters(registry, "stage_cache.shard_").disk_hits`` is the
+    ``stage_cache.shard_disk_hits`` counter.  Binding on first use keeps
+    untouched counters out of the registry; after it, a counter is a
+    plain attribute, so hot paths skip the registry lookup.
+    """
+
+    def __init__(self, registry: MetricsRegistry, prefix: str):
+        self.registry = registry
+        self.prefix = prefix
+
+    def __getattr__(self, name: str) -> Counter:
+        if name.startswith("_"):
+            raise AttributeError(name)
+        counter = self.registry.counter(self.prefix + name)
+        setattr(self, name, counter)
+        return counter
+
+
+class TieredCache:
+    """One lock, one memory LRU, optional admission, optional disk tier.
+
+    The LRU's own counters — ``<namespace>admitted``, ``evictions``,
+    ``admission_rejected`` and the ``entries`` gauge — are
+    :attr:`counters`.  Disk traffic (``disk_hits``, ``disk_writes``,
+    ``disk_write_skips``) goes to the :class:`CacheCounters` each call
+    passes (:attr:`counters` by default), and only calls that pass a
+    ``disk_key`` touch the disk.
+
+    ``capacity=None`` is unbounded.  With ``admission``, a new key
+    displaces the LRU victim only if the sketch has seen it at least as
+    often; memory hits and insertions each count one access.
+    ``on_event("admit" | "evict", key)`` is called under the lock.
+    """
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        namespace: str,
+        capacity: Optional[int] = None,
+        admission: bool = False,
+        disk: Optional[DiskCacheStore] = None,
+        on_event: Optional[Callable[[str, str], None]] = None,
+    ):
+        if capacity is not None and capacity < 1:
+            raise CacheError(f"cache capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.disk = disk
+        self.counters = CacheCounters(registry, namespace)
+        self.sketch = FrequencySketch(capacity) if admission and capacity else None
+        self.lock = threading.RLock()
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._on_event = on_event
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+    def keys(self) -> List[str]:
+        """Cached keys, LRU-first (the next victim leads)."""
+        with self.lock:
+            return list(self._entries)
+
+    def peek(self, key: str) -> Optional[object]:
+        """The memory value (or None), without counters, LRU, or disk."""
+        with self.lock:
+            return self._entries.get(key)
+
+    def get(
+        self,
+        key: str,
+        counters: Optional[CacheCounters] = None,
+        disk_key: Optional[str] = None,
+        kind: type = object,
+    ) -> Optional[object]:
+        """The ``kind`` value under ``key`` (now most recently used), or
+        None.  A memory miss with a ``disk_key`` reads through to disk and
+        promotes what it finds (``counters.disk_hits``)."""
+        with self.lock:
+            value = self._entries.get(key)
+            if value is not None and isinstance(value, kind):
+                self._entries.move_to_end(key)
+                if self.sketch is not None:
+                    self.sketch.record(key)
+                return value
+        if disk_key is None or self.disk is None:
+            return None
+        value = self.disk.read(disk_key)
+        if value is None or not isinstance(value, kind):
+            return None
+        (counters or self.counters).disk_hits.inc()
+        self.put(key, value)
+        return value
+
+    def put(
+        self,
+        key: str,
+        value: object,
+        counters: Optional[CacheCounters] = None,
+        disk_key: Optional[str] = None,
+    ) -> bool:
+        """Insert into memory (True if it landed); with a ``disk_key``,
+        write through too — a value that will not pickle stays memory-only
+        (``counters.disk_write_skips``), it is not raised."""
+        with self.lock:
+            landed = self._admit(key, value)
+        if disk_key is not None and self.disk is not None:
+            counters = counters or self.counters
+            if self.disk.write(disk_key, value):
+                counters.disk_writes.inc()
+            else:
+                counters.disk_write_skips.inc()
+        return landed
+
+    def _admit(self, key: str, value: object) -> bool:
+        entries, sketch = self._entries, self.sketch
+        if sketch is not None:
+            sketch.record(key)
+        if key in entries:
+            entries[key] = value
+            entries.move_to_end(key)
+            return True
+        if self.capacity is not None and len(entries) >= self.capacity:
+            victim = next(iter(entries))
+            if sketch is not None and sketch.frequency(key) < sketch.frequency(victim):
+                self.counters.admission_rejected.inc()
+                return False
+            del entries[victim]
+            self.counters.evictions.inc()
+            if self._on_event is not None:
+                self._on_event("evict", victim)
+        entries[key] = value
+        self.counters.admitted.inc()
+        if self._on_event is not None:
+            self._on_event("admit", key)
+        self._count_entries()
+        return True
+
+    def _count_entries(self) -> None:
+        gauge = self.counters.registry.gauge(self.counters.prefix + "entries")
+        gauge.set(float(len(self._entries)))
+
+    def invalidate(self, key: str, disk_key: Optional[str] = None) -> bool:
+        """Drop ``key`` from memory and ``disk_key`` from disk; True if
+        either held it."""
+        with self.lock:
+            existed = self._entries.pop(key, None) is not None
+            self._count_entries()
+        if disk_key is not None and self.disk is not None:
+            existed = self.disk.delete(disk_key) or existed
+        return existed
+
+    def invalidate_prefix(self, prefix: str) -> int:
+        """Drop every memory entry whose key starts with ``prefix``."""
+        with self.lock:
+            doomed = [key for key in self._entries if key.startswith(prefix)]
+            for key in doomed:
+                del self._entries[key]
+            self._count_entries()
+            return len(doomed)
+
+    def clear(self, disk: bool = False) -> int:
+        """Empty memory and the sketch (with ``disk``, the store too);
+        returns how many memory entries were dropped."""
+        with self.lock:
+            dropped = len(self._entries)
+            self._entries.clear()
+            if self.sketch is not None:
+                self.sketch.clear()
+            self._count_entries()
+        if disk and self.disk is not None:
+            self.disk.clear()
+        return dropped
+
+
+__all__: Tuple[str, ...] = (
+    "CacheCounters",
+    "DiskCacheStore",
+    "FrequencySketch",
+    "TieredCache",
+)

@@ -1,64 +1,34 @@
-"""Tiered read cache for the access-facing services.
+"""Read cache for the access-facing services.
 
 The CDF data-processing model (PAPERS.md) carries a collider's analysis
-load on read-side caching; this module is the reproduction's version of
-that layer, shared by every access surface the workload engine hammers:
-WebLab retro browsing and subset extraction, EventStore grade/file
-resolution, and (through the recall queue) archive reads.
+load on read-side caching; this module is that layer for WebLab retro
+browsing and subset extraction and EventStore grade/file resolution.
+A :class:`ReadCache` is a TinyLFU-admitted
+:class:`~repro.core.cachestore.TieredCache` plus what only reads need:
 
-One :class:`ReadCache` is:
-
-* an **LRU** over at most ``capacity`` entries, guarded by one lock so a
-  facade shared across reader threads stays consistent;
-* **frequency-admitted** — on a miss with a full cache, the new key is
-  admitted only if it has been asked for at least as often as the LRU
-  victim (a TinyLFU-style filter: one-hit wonders cannot wash out the
-  Zipf head that makes caching pay);
 * a **negative cache** — a loader returning ``None`` ("no capture at or
   before that date", "no file for that run/version/kind") is remembered
   too, so repeated misses for absent objects never re-run the query;
 * **request-coalescing** — concurrent loads of the same key collapse to
   one loader call, with the other threads waiting on the winner;
-* optionally **tiered over** a content-addressed
-  :class:`~repro.core.cachestore.DiskCacheStore` — entries whose key is a
-  content address (page blobs by hash) read through to the shared disk
-  store and are promoted on hit, so a process restart or a sibling
-  process starts warm.
-
-Accounting: ``readcache.hits/misses/negative_hits/admitted/
-admission_rejected/evictions/disk_hits/disk_writes`` counters on the
-cache's registry, and (when a telemetry bus is attached)
-``readcache.hit|miss|admit|evict`` events so a replayed trace's cache
-behaviour is part of the canonical log.
+* **telemetry** — ``readcache.hit|miss|admit|evict`` events when a bus is
+  attached, so a replayed trace's cache behaviour is part of the
+  canonical log.  Counters (``readcache.*``) live on the cache's own
+  registry either way.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
-from repro.core.cachestore import DiskCacheStore
-from repro.core.errors import CacheError
+from repro.core.cachestore import DiskCacheStore, TieredCache
 from repro.core.telemetry import MetricsRegistry, Telemetry
 
 
-class _Negative:
-    """Marker stored for cached absence (distinct from any real value)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return "<negative>"
-
-
-_NEGATIVE = _Negative()
-
-#: Frequency sketch aging: when the sketch's total count reaches
-#: ``capacity * _SKETCH_DECAY_FACTOR``, every count is halved (and zeros
-#: dropped), so popularity is recency-weighted rather than eternal.
-_SKETCH_DECAY_FACTOR = 10
+#: Marker stored for cached absence (distinct from any real value).
+_NEGATIVE = object()
 
 
 @dataclass
@@ -83,41 +53,21 @@ class ReadCacheStats:
     @classmethod
     def from_registry(cls, metrics: MetricsRegistry) -> "ReadCacheStats":
         return cls(
-            hits=int(metrics.value("readcache.hits")),
-            misses=int(metrics.value("readcache.misses")),
-            negative_hits=int(metrics.value("readcache.negative_hits")),
-            admitted=int(metrics.value("readcache.admitted")),
-            admission_rejected=int(metrics.value("readcache.admission_rejected")),
-            evictions=int(metrics.value("readcache.evictions")),
-            disk_hits=int(metrics.value("readcache.disk_hits")),
-            disk_writes=int(metrics.value("readcache.disk_writes")),
-            coalesced=int(metrics.value("readcache.coalesced")),
+            **{f.name: int(metrics.value(f"readcache.{f.name}")) for f in fields(cls)}
         )
 
 
 class ReadCache:
     """LRU + frequency admission + negative caching + optional disk tier.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum in-memory entries.
-    name:
-        Event name used on the telemetry bus (one bus can carry several
-        caches' streams apart).
-    admission:
-        With ``False``, plain LRU: every miss is admitted.  The C21
-        benchmark compares both, after the CDF model's observation that
-        admission filters are what keep scan traffic from flushing the
-        hot set.
-    disk:
-        Optional shared :class:`DiskCacheStore` second tier.  Only loads
-        that pass a ``content_key`` participate (content-addressed
-        entries are immutable by construction, so cross-process sharing
-        needs no invalidation protocol).
-    telemetry:
-        When given, the cache emits ``readcache.*`` events; counters are
-        kept on the cache's own registry either way.
+    ``capacity`` bounds the memory entries.  ``name`` is the event name on
+    the telemetry bus, so one bus can carry several caches apart.
+    ``admission=False`` is plain LRU — C21 compares both, after the CDF
+    model's observation that admission keeps scans from flushing the hot
+    set.  ``disk`` is an optional shared :class:`DiskCacheStore`; only
+    loads that pass a ``content_key`` use it (content-addressed entries
+    are immutable, so sharing across processes needs no invalidation).
+    ``telemetry``, when given, receives the ``readcache.*`` events.
     """
 
     def __init__(
@@ -128,75 +78,44 @@ class ReadCache:
         disk: Optional[DiskCacheStore] = None,
         telemetry: Optional[Telemetry] = None,
     ):
-        if capacity < 1:
-            raise CacheError(f"read cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
         self.admission = admission
-        self.disk = disk
         self.metrics = MetricsRegistry()
         self._telemetry = telemetry
-        self._lock = threading.RLock()
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self._freq: Dict[str, int] = {}
-        self._freq_total = 0
+        self.tier = TieredCache(
+            self.metrics,
+            "readcache.",
+            capacity=capacity,
+            admission=admission,
+            disk=disk,
+            on_event=lambda kind, key: self._emit(f"readcache.{kind}", key),
+        )
+        self._counters = self.tier.counters
         self._inflight: Dict[str, threading.Event] = {}
-        # The hit path runs per request on the hot set; bind its counters
-        # once instead of paying a registry lookup per access.
-        self._hits = self.metrics.counter("readcache.hits")
-        self._misses = self.metrics.counter("readcache.misses")
-        self._negative_hits = self.metrics.counter("readcache.negative_hits")
 
     # -- introspection -----------------------------------------------------
     @property
     def stats(self) -> ReadCacheStats:
         return ReadCacheStats.from_registry(self.metrics)
 
+    @property
+    def disk(self) -> Optional[DiskCacheStore]:
+        return self.tier.disk
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self.tier)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self.tier
 
     def keys(self) -> List[str]:
         """Cached keys, LRU-first (the next victim leads)."""
-        with self._lock:
-            return list(self._entries)
+        return self.tier.keys()
 
-    # -- internals ---------------------------------------------------------
     def _emit(self, kind: str, key: str, **attrs: object) -> None:
         if self._telemetry is not None:
             self._telemetry.emit(kind, self.name, key=key, **attrs)
-
-    def _count_access(self, key: str) -> None:
-        """Bump the popularity sketch, aging it when it saturates."""
-        self._freq[key] = self._freq.get(key, 0) + 1
-        self._freq_total += 1
-        if self._freq_total >= self.capacity * _SKETCH_DECAY_FACTOR:
-            aged = {k: c // 2 for k, c in self._freq.items() if c // 2 > 0}
-            self._freq = aged
-            self._freq_total = sum(aged.values())
-
-    def _admit(self, key: str, value: object) -> bool:
-        """Insert under the admission policy; True when the entry landed."""
-        if key in self._entries:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            return True
-        if len(self._entries) >= self.capacity:
-            victim = next(iter(self._entries))
-            if self.admission and self._freq.get(key, 0) < self._freq.get(victim, 0):
-                self.metrics.counter("readcache.admission_rejected").inc()
-                return False
-            self._entries.popitem(last=False)
-            self.metrics.counter("readcache.evictions").inc()
-            self._emit("readcache.evict", victim)
-        self._entries[key] = value
-        self.metrics.counter("readcache.admitted").inc()
-        self._emit("readcache.admit", key)
-        return True
 
     # -- the API -----------------------------------------------------------
     def get_or_load(
@@ -212,18 +131,17 @@ class ReadCache:
         ``content_key`` opts this entry into the disk tier (pass the
         content address; the entry must be immutable under that key).
         """
+        counters = self._counters
         while True:
             wait_for: Optional[threading.Event] = None
-            with self._lock:
-                if key in self._entries:
-                    value = self._entries[key]
-                    self._entries.move_to_end(key)
-                    self._count_access(key)
-                    if value is _NEGATIVE:
-                        self._negative_hits.inc()
-                        self._emit("readcache.hit", key, negative=True)
-                        return None
-                    self._hits.inc()
+            with self.tier.lock:
+                value = self.tier.get(key)
+                if value is _NEGATIVE:
+                    counters.negative_hits.inc()
+                    self._emit("readcache.hit", key, negative=True)
+                    return None
+                if value is not None:
+                    counters.hits.inc()
                     self._emit("readcache.hit", key)
                     return value
                 holder = self._inflight.get(key)
@@ -233,13 +151,13 @@ class ReadCache:
                     wait_for = holder
             if wait_for is not None:
                 # Coalesce: another thread is loading this key right now.
-                self.metrics.counter("readcache.coalesced").inc()
+                counters.coalesced.inc()
                 wait_for.wait()
                 continue  # re-check the cache (the winner usually filled it)
             try:
                 value = self._load(key, loader, content_key)
             finally:
-                with self._lock:
+                with self.tier.lock:
                     self._inflight.pop(key).set()
             return value
 
@@ -250,59 +168,36 @@ class ReadCache:
         content_key: Optional[str],
     ) -> object:
         """Miss path: disk tier first, then the loader; then admission."""
-        with self._lock:
-            self._count_access(key)
-        self._misses.inc()
+        self._counters.misses.inc()
         self._emit("readcache.miss", key)
-        value: object = None
-        loaded = False
-        if content_key is not None and self.disk is not None:
-            from_disk = self.disk.read(content_key)
-            if from_disk is not None:
-                self.metrics.counter("readcache.disk_hits").inc()
-                value = from_disk
-                loaded = True
-        if not loaded:
-            value = loader()
-            if (
-                value is not None
-                and content_key is not None
-                and self.disk is not None
-            ):
-                if self.disk.write(content_key, value):
-                    self.metrics.counter("readcache.disk_writes").inc()
-        with self._lock:
-            self._admit(key, _NEGATIVE if value is None else value)
+        if content_key is not None:
+            value = self.tier.get(key, disk_key=content_key)
+            if value is not None:
+                return value
+        value = loader()
+        if value is None:
+            self.tier.put(key, _NEGATIVE)
+        else:
+            self.tier.put(key, value, disk_key=content_key)
         return value
 
     def peek(self, key: str) -> object:
         """The cached value (or None), without counters, LRU, or loading."""
-        with self._lock:
-            value = self._entries.get(key)
-            return None if value is _NEGATIVE else value
+        value = self.tier.peek(key)
+        return None if value is _NEGATIVE else value
 
     # -- invalidation ------------------------------------------------------
     def invalidate(self, key: str) -> bool:
         """Drop one entry; returns whether it was cached."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
+        return self.tier.invalidate(key)
 
     def invalidate_prefix(self, prefix: str) -> int:
         """Drop every entry whose key starts with ``prefix``."""
-        with self._lock:
-            doomed = [key for key in self._entries if key.startswith(prefix)]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
+        return self.tier.invalidate_prefix(prefix)
 
     def clear(self) -> int:
         """Drop everything (memory tier only; the disk tier is shared)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._freq.clear()
-            self._freq_total = 0
-            return dropped
+        return self.tier.clear()
 
     def __repr__(self) -> str:
         return (

@@ -7,50 +7,29 @@ to decide whether a prior stage output can be reused.  CLEO's staged
 production ("recompute only what changed") is the same pattern at
 collaboration scale.
 
-A :class:`StageCache` stores, per content-addressed key, everything the
-engine needs to *skip* a stage while keeping the run observably identical:
-the output dataset snapshot, the extra CPU seconds the transform charged,
-and the stage's out-of-band stash (see ``StageContext.stash``).  On a hit
-the engine replays provenance recording, accounting, and telemetry from
-the snapshot, so a warm rerun's FlowReport and event log are byte-identical
-to the cold run's (modulo wall clock, which the telemetry layer already
-segregates).
-
-Keys cover the flow name, stage name/site/cost model, the per-stage RNG
-seed, the stage's declared ``cache_params``, and a descriptor of every
-input dataset including its provenance-stamp MD5 digest — the paper's own
-"compare the hashes" discrepancy test, applied before compute instead of
-after.  Anything that would change the stage's behaviour must appear in
-one of those; pipelines surface their config through ``cache_params``.
-
-Hits, misses, and evictions are registry-backed counters
-(``stage_cache.hits`` etc.) so they flow into benchmark report rows like
-every other instrument.
+This module owns the keys and the entries.  :func:`stage_key` covers the
+flow name, stage name/site/cost model, the per-stage RNG seed, the
+stage's ``cache_params``, and a descriptor of every input dataset
+including its provenance-stamp MD5 digest — the paper's own "compare the
+hashes" test, applied before compute instead of after.  A
+:class:`CachedStage` holds everything the engine needs to *skip* a stage
+and still replay provenance, accounting, and telemetry byte-identically;
+a :class:`CachedShard` holds one item of a ``map_shards`` fan-out.
+:class:`StageCache` stores both in a
+:class:`~repro.core.cachestore.TieredCache`, counting stage traffic under
+``stage_cache.`` and shard traffic under ``stage_cache.shard_``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.cachestore import CacheCounters, DiskCacheStore, TieredCache
 from repro.core.dataset import Dataset
-
-if TYPE_CHECKING:
-    from repro.core.cachestore import DiskCacheStore
 from repro.core.errors import CacheError
 from repro.core.telemetry import MetricsRegistry
 from repro.core.units import DataSize
@@ -87,8 +66,7 @@ def stage_key(
         "params": {str(k): str(v) for k, v in (cache_params or {}).items()},
         "faults": str(fault_digest),
     }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return _digest(payload)
 
 
 def shard_key(
@@ -117,6 +95,10 @@ def shard_key(
         "params": {str(k): str(v) for k, v in (cache_params or {}).items()},
         "faults": str(fault_digest),
     }
+    return _digest(payload)
+
+
+def _digest(payload: Mapping[str, object]) -> str:
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -201,6 +183,13 @@ class CachedStage:
         )
 
 
+def _counter(name: str, doc: Optional[str] = None) -> property:
+    """A read-only view of the ``stage_cache.<name>`` counter."""
+    return property(
+        lambda cache: int(cache.registry.value(f"stage_cache.{name}")), doc=doc
+    )
+
+
 class StageCache:
     """LRU cache of :class:`CachedStage` snapshots keyed by provenance.
 
@@ -215,31 +204,27 @@ class StageCache:
         one is created if not supplied.  Pass the engine's registry to
         surface cache traffic alongside the flow's other instruments.
     store:
-        Optional :class:`~repro.core.cachestore.DiskCacheStore` backing.
-        With a store, this cache becomes a read-through/write-through L1
-        over a shared on-disk L2: lookups that miss in memory consult the
-        store (a disk hit counts as a hit, plus ``stage_cache.disk_hits``),
-        stores write through (atomic rename; an unpicklable entry degrades
-        that stage to memory-only, counted in
-        ``stage_cache.disk_write_skips``), and in-memory LRU eviction is
-        harmless because the entry survives on disk.  Multiple engines —
-        in one process, many processes, or successive runs — may share one
-        store root; content-addressed keys make racing writers safe.
+        Optional shared :class:`~repro.core.cachestore.DiskCacheStore`
+        under the in-memory LRU: a memory miss reads through (a disk hit
+        counts as a hit, plus ``disk_hits``), stores write through (an
+        entry that will not pickle stays memory-only: ``disk_write_skips``),
+        and an entry evicted from memory survives on disk.  Engines in one
+        process, many processes, or successive runs may share one root.
     """
 
     def __init__(
         self,
         max_entries: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        store: Optional["DiskCacheStore"] = None,
+        store: Optional[DiskCacheStore] = None,
     ):
-        if max_entries is not None and max_entries < 1:
-            raise CacheError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.disk = store
-        self._entries: "OrderedDict[str, CachedStage]" = OrderedDict()
-        self._lock = threading.Lock()
+        self.tier = TieredCache(
+            self.registry, "stage_cache.", capacity=max_entries, disk=store
+        )
+        self._stage = self.tier.counters
+        self._shard = CacheCounters(self.registry, "stage_cache.shard_")
 
     @classmethod
     def on_disk(
@@ -250,14 +235,8 @@ class StageCache:
         max_entries: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> "StageCache":
-        """A stage cache over a shared on-disk store rooted at ``root``.
-
-        ``max_bytes``/``max_disk_entries`` bound the on-disk store (GC'd
-        oldest-first after each write); ``max_entries`` bounds the
-        in-memory L1 as usual.
-        """
-        from repro.core.cachestore import DiskCacheStore
-
+        """A stage cache over a shared on-disk store rooted at ``root``;
+        ``max_bytes``/``max_disk_entries`` bound the store."""
         return cls(
             max_entries=max_entries,
             registry=registry,
@@ -266,160 +245,73 @@ class StageCache:
             ),
         )
 
+    @property
+    def disk(self) -> Optional[DiskCacheStore]:
+        return self.tier.disk
+
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self.tier)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self.tier
+
+    def keys(self) -> List[str]:
+        """Cached keys, LRU-first (the next victim leads)."""
+        return self.tier.keys()
 
     def lookup(self, key: str) -> Optional[CachedStage]:
         """Return the entry for ``key`` (marking it recently used), or None.
-
-        With a disk store attached, a memory miss falls through to the
-        store; a disk hit is promoted into the in-memory L1 and counts as
-        a hit (plus ``stage_cache.disk_hits``).
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.registry.counter("stage_cache.hits").inc()
-                return entry
-        if self.disk is not None:
-            from_disk = self.disk.read(key)
-            if isinstance(from_disk, CachedStage):
-                with self._lock:
-                    self._entries[key] = from_disk
-                    self._entries.move_to_end(key)
-                    self._bound_memory_locked()
-                self.registry.counter("stage_cache.hits").inc()
-                self.registry.counter("stage_cache.disk_hits").inc()
-                return from_disk
-        self.registry.counter("stage_cache.misses").inc()
-        return None
-
-    def _bound_memory_locked(self) -> None:
-        """Enforce the in-memory LRU bound; caller holds ``self._lock``."""
-        while self.max_entries is not None and len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.registry.counter("stage_cache.evictions").inc()
-        self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
-
-    def store(self, key: str, entry: CachedStage) -> None:
-        """Insert ``entry``, evicting LRU entries past ``max_entries``.
-
-        With a disk store attached the entry is also written through
-        (atomic write-then-rename keyed by the content address); an entry
-        whose payload cannot pickle stays memory-only and is counted in
-        ``stage_cache.disk_write_skips``.
-        """
-        if not isinstance(entry, CachedStage):
-            raise CacheError(
-                f"expected a CachedStage, got {type(entry).__name__}"
-            )
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._bound_memory_locked()
-        if self.disk is not None:
-            if self.disk.write(key, entry):
-                self.registry.counter("stage_cache.disk_writes").inc()
-            else:
-                self.registry.counter("stage_cache.disk_write_skips").inc()
+        A disk hit is promoted into memory (``stage_cache.disk_hits``)."""
+        return self._lookup(key, self._stage, CachedStage)
 
     def lookup_shard(self, key: str) -> Optional[CachedShard]:
         """Return the shard entry for ``key`` (marking it used), or None.
 
-        Shard traffic is counted apart from stage traffic
-        (``stage_cache.shard_hits``/``shard_misses``) so stage-level
-        warm-start assertions stay unchanged by shard fan-out.
+        Shard traffic is counted apart from stage traffic, under
+        ``stage_cache.shard_`` (``shard_hits``, ``shard_disk_hits``, ...),
+        so stage-level warm-start assertions stay unchanged by fan-out.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if isinstance(entry, CachedShard):
-                self._entries.move_to_end(key)
-                self.registry.counter("stage_cache.shard_hits").inc()
-                return entry
-        if self.disk is not None:
-            from_disk = self.disk.read(key)
-            if isinstance(from_disk, CachedShard):
-                with self._lock:
-                    self._entries[key] = from_disk
-                    self._entries.move_to_end(key)
-                    self._bound_memory_locked()
-                self.registry.counter("stage_cache.shard_hits").inc()
-                self.registry.counter("stage_cache.disk_hits").inc()
-                return from_disk
-        self.registry.counter("stage_cache.shard_misses").inc()
-        return None
+        return self._lookup(key, self._shard, CachedShard)
+
+    def _lookup(self, key: str, counters: CacheCounters, kind: type):
+        entry = self.tier.get(key, counters, disk_key=key, kind=kind)
+        (counters.hits if entry is not None else counters.misses).inc()
+        return entry
+
+    def store(self, key: str, entry: CachedStage) -> None:
+        """Insert ``entry`` (evicting past ``max_entries``) and write it
+        through to the disk store when one is attached."""
+        if not isinstance(entry, CachedStage):
+            raise CacheError(
+                f"expected a CachedStage, got {type(entry).__name__}"
+            )
+        self.tier.put(key, entry, self._stage, disk_key=key)
 
     def store_shard(self, key: str, value: object) -> None:
         """Memoize one shard result under its content address."""
-        entry = CachedShard(value=value)
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._bound_memory_locked()
-        if self.disk is not None:
-            if self.disk.write(key, entry):
-                self.registry.counter("stage_cache.disk_writes").inc()
-            else:
-                self.registry.counter("stage_cache.disk_write_skips").inc()
+        self.tier.put(key, CachedShard(value=value), self._shard, disk_key=key)
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry from memory and disk; returns whether it existed."""
-        with self._lock:
-            existed = self._entries.pop(key, None) is not None
-            self.registry.gauge("stage_cache.entries").set(float(len(self._entries)))
-        if self.disk is not None:
-            existed = self.disk.delete(key) or existed
-        return existed
+        return self.tier.invalidate(key, disk_key=key)
 
     def clear(self, disk: bool = False) -> None:
         """Empty the in-memory L1 (and, with ``disk=True``, the store)."""
-        with self._lock:
-            self._entries.clear()
-            self.registry.gauge("stage_cache.entries").set(0.0)
-        if disk and self.disk is not None:
-            self.disk.clear()
+        self.tier.clear(disk=disk)
 
     # -- counters ---------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return int(self.registry.value("stage_cache.hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self.registry.value("stage_cache.misses"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self.registry.value("stage_cache.evictions"))
-
-    @property
-    def shard_hits(self) -> int:
-        """Shard-level hits (separate from whole-stage ``hits``)."""
-        return int(self.registry.value("stage_cache.shard_hits"))
-
-    @property
-    def shard_misses(self) -> int:
-        return int(self.registry.value("stage_cache.shard_misses"))
-
-    @property
-    def disk_hits(self) -> int:
-        """Hits that were serviced from the on-disk store (subset of hits)."""
-        return int(self.registry.value("stage_cache.disk_hits"))
-
-    @property
-    def disk_writes(self) -> int:
-        return int(self.registry.value("stage_cache.disk_writes"))
-
-    @property
-    def disk_write_skips(self) -> int:
-        """Entries that could not pickle and stayed memory-only."""
-        return int(self.registry.value("stage_cache.disk_write_skips"))
+    hits = _counter("hits")
+    misses = _counter("misses")
+    evictions = _counter("evictions")
+    shard_hits = _counter("shard_hits", "Shard-level hits (separate from ``hits``).")
+    shard_misses = _counter("shard_misses")
+    disk_hits = _counter("disk_hits", "Stage hits served from the disk store.")
+    disk_writes = _counter("disk_writes", "Stage entries written to the store.")
+    disk_write_skips = _counter(
+        "disk_write_skips", "Stage entries that could not pickle (memory-only)."
+    )
+    shard_disk_hits = _counter("shard_disk_hits", "Shard hits served from disk.")
+    shard_disk_writes = _counter("shard_disk_writes", "Shards written to disk.")
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -436,6 +328,8 @@ class StageCache:
             "disk_hits": self.disk_hits,
             "disk_writes": self.disk_writes,
             "disk_write_skips": self.disk_write_skips,
+            "shard_disk_hits": self.shard_disk_hits,
+            "shard_disk_writes": self.shard_disk_writes,
             "disk_entries": stored["entries"],
             "disk_bytes": stored["bytes"],
         }

@@ -13,6 +13,7 @@ tunable batch size is one of the preload parameters the paper says needs
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -83,11 +84,19 @@ def weblab_schema() -> Schema:
 
 
 class WebLabDatabase:
-    """Metadata + link store over the relational layer."""
+    """Metadata + link store over the relational layer.
+
+    ``generation`` takes a new, never-repeated value after every committed
+    crawl registration or batch load, so read caches know when their
+    pointers may be stale (``next`` on a shared counter is atomic, so
+    concurrent loaders cannot lose a move).
+    """
 
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self.db: Database = connect(path)
         apply_schema(self.db, weblab_schema())
+        self._loads = itertools.count(1)
+        self.generation = 0
 
     def close(self) -> None:
         self.db.close()
@@ -111,6 +120,7 @@ class WebLabDatabase:
                 )
             return
         self.db.insert("crawls", crawl_index=crawl_index, crawl_time=crawl_time)
+        self.generation = next(self._loads)
 
     def load_page_batch(self, rows: Sequence[Dict[str, object]]) -> int:
         """Load one metadata batch (one short transaction)."""
@@ -123,6 +133,7 @@ class WebLabDatabase:
                     "WHERE crawl_index = ?",
                     (len(rows), rows[0]["crawl_index"]),
                 )
+        self.generation = next(self._loads)
         return len(rows)
 
     def load_link_batch(self, rows: Sequence[Tuple[int, str, str]]) -> int:
@@ -131,6 +142,7 @@ class WebLabDatabase:
                 self.db.insert(
                     "links", crawl_index=crawl_index, src_url=src_url, dst_url=dst_url
                 )
+        self.generation = next(self._loads)
         return len(rows)
 
     # -- queries ---------------------------------------------------------------

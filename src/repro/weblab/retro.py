@@ -16,6 +16,10 @@ so its read path is built in three cacheable tiers, each a separate
   tier may additionally read/write a shared on-disk
   :class:`~repro.core.cachestore.DiskCacheStore` when the cache has one.
 
+A load into the database (a new crawl) can move pointers and outlinks,
+so when the database's ``generation`` moves the browser drops its
+``asof:`` and ``links:`` entries; ``blob:`` entries stay valid.
+
 Navigation resolves the *source* page through the pointer + link tiers
 only — it never fetches the source page's content just to follow one
 outlink (the double-fetch this layout exists to kill).
@@ -69,12 +73,21 @@ class RetroBrowser:
         self.database = database
         self.pagestore = pagestore
         self.cache = cache
+        self._generation = database.generation
 
     # -- cacheable tiers ---------------------------------------------------
     def _pointer(self, url: str, as_of: float) -> Optional[Dict[str, object]]:
-        """(url, as_of) → capture pointer, negative results included."""
+        """(url, as_of) → capture pointer, negative results included.
+
+        Every request starts here, so this is where entries a load has
+        staled are dropped."""
         if self.cache is None:
             return self.database.page_pointer_as_of(url, as_of)
+        generation = self.database.generation
+        if generation != self._generation:
+            self.cache.invalidate_prefix("asof:")
+            self.cache.invalidate_prefix("links:")
+            self._generation = generation
         return self.cache.get_or_load(
             f"asof:{url}@{as_of!r}",
             lambda: self.database.page_pointer_as_of(url, as_of),

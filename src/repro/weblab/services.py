@@ -105,6 +105,7 @@ class WebLabServices:
         self._weblab = weblab
         self.cache = cache
         self._retro = RetroBrowser(weblab.database, weblab.pagestore, cache=cache)
+        self._generation = weblab.database.generation
         self.metrics = MetricsRegistry()
         self._telemetry = telemetry if telemetry is not None else get_telemetry()
 
@@ -142,15 +143,19 @@ class WebLabServices:
 
         With a cache attached, repeating the same (name, criteria) pair
         skips the view DDL and count query — the view from the first call
-        is still in place.  After loading new pages, call
-        ``cache.invalidate_prefix("subset:")`` to force re-extraction.
+        is still in place — until a load moves the database's generation.
         """
         self._record("extract_subset", subset=name)
+        database = self._weblab.database
         if self.cache is None:
-            return extract_subset(self._weblab.database, name, criteria)
+            return extract_subset(database, name, criteria)
+        generation = database.generation
+        if generation != self._generation:
+            self.cache.invalidate_prefix("subset:")
+            self._generation = generation
         count = self.cache.get_or_load(
             f"subset:{name}:{criteria.cache_token()}",
-            lambda: extract_subset(self._weblab.database, name, criteria),
+            lambda: extract_subset(database, name, criteria),
         )
         return int(count)  # type: ignore[arg-type]
 

@@ -98,7 +98,7 @@ class TestLruAndAdmission:
         # Saturate the sketch well past capacity * decay factor.
         for i in range(30):
             cache.get_or_load(f"filler{i}", lambda: i)
-        assert cache._freq.get("old", 0) < 8
+        assert cache.tier.sketch.frequency("old") < 8
 
 
 class TestTelemetry:

@@ -98,6 +98,20 @@ class TestStageCacheWithDiskStore:
         assert cache.disk.max_bytes == 123
         assert cache.disk.max_entries == 4
 
+    def test_shard_disk_traffic_has_its_own_counters(self, tmp_path):
+        """Shard writes and reads through the store never bump the stage
+        counters ``disk_writes``/``disk_hits``."""
+        cache = StageCache.on_disk(tmp_path)
+        cache.store_shard(KEY, [1, 2])
+        assert cache.disk_writes == 0
+        assert cache.shard_disk_writes == 1
+
+        fresh = StageCache.on_disk(tmp_path)
+        assert fresh.lookup_shard(KEY).value == [1, 2]
+        assert fresh.disk_hits == 0 and fresh.hits == 0
+        assert fresh.shard_disk_hits == 1 and fresh.shard_hits == 1
+        assert fresh.disk_stats()["shard_disk_hits"] == 1
+
     def test_stats_shape_unchanged(self, tmp_path):
         cache = StageCache.on_disk(tmp_path)
         cache.store(KEY, entry())

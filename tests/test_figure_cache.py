@@ -85,7 +85,7 @@ class TestAreciboWarmRerun:
         cold = run_arecibo_pipeline(
             tmp_path / "cold", small_arecibo_config(), cache=cache
         )
-        meta_key = list(cache._entries)[-1]  # last stage completed
+        meta_key = cache.keys()[-1]  # last stage completed
         assert cache.invalidate(meta_key)
         warm = run_arecibo_pipeline(
             tmp_path / "warm", small_arecibo_config(), cache=cache
@@ -114,7 +114,7 @@ class TestCleoWarmRerun:
         cache = StageCache()
         config = CleoPipelineConfig(n_runs=2, seed=5)
         cold = run_cleo_pipeline(tmp_path / "cold", config, cache=cache)
-        for key in list(cache._entries)[2:]:
+        for key in cache.keys()[2:]:
             cache.invalidate(key)
         warm = run_cleo_pipeline(tmp_path / "warm", config, cache=cache)
         assert warm.sizes_by_kind == cold.sizes_by_kind

@@ -7,10 +7,14 @@ import pytest
 
 from repro.core.readcache import ReadCache
 from repro.core.telemetry import Telemetry
+from repro.weblab.arcformat import pack_crawl
+from repro.weblab.datformat import pack_crawl_metadata
 from repro.weblab.pagestore import PageStore
+from repro.weblab.preload import PreloadSubsystem
 from repro.weblab.retro import RetroBrowser
-from repro.weblab.services import WebLabServices
+from repro.weblab.services import WebLab, WebLabServices
 from repro.weblab.subsets import SubsetCriteria
+from repro.weblab.synthweb import SyntheticWeb, SyntheticWebConfig
 
 
 def explain(db, sql, params):
@@ -171,6 +175,49 @@ class TestCachedServing:
         other = SubsetCriteria(tlds=("com",))
         assert f"subset:edu_slice:{criteria.cache_token()}" in warm.cache
         assert criteria.cache_token() != other.cache_token()
+
+
+class TestIngestInvalidation:
+    """Regression: a crawl preloaded after reads were cached used to stay
+    invisible behind the cached ``asof:``/``links:``/``subset:`` entries."""
+
+    @staticmethod
+    def ingest(lab, crawl, incoming):
+        prefix = f"crawl{crawl.crawl_index:02d}"
+        arcs = pack_crawl(crawl.pages, incoming, prefix)
+        dats = pack_crawl_metadata(crawl.pages, arcs, incoming, prefix)
+        lab.database.register_crawl(crawl.crawl_index, crawl.crawl_time)
+        PreloadSubsystem(lab.database, lab.pagestore).run(
+            [(path, crawl.crawl_index) for path in arcs],
+            [(path, crawl.crawl_index) for path in dats],
+        )
+
+    def test_reads_after_an_ingest_see_the_new_crawl(self, tmp_path):
+        config = SyntheticWebConfig(seed=5, initial_pages=40, new_pages_per_crawl=10)
+        crawls = SyntheticWeb(config).generate_crawls(3)
+        with WebLab(tmp_path / "lab") as lab:
+            for crawl in crawls[:2]:
+                self.ingest(lab, crawl, tmp_path / "incoming")
+            cached = WebLabServices(
+                lab, telemetry=Telemetry(), cache=ReadCache(capacity=1024)
+            )
+            plain = WebLabServices(lab, telemetry=Telemetry())
+            urls = lab.database.db.query("SELECT DISTINCT url FROM pages ORDER BY url")
+            urls = [row["url"] for row in urls]
+            latest = float("inf")
+            for url in urls:
+                cached.browse(url, latest)
+            everything = SubsetCriteria()
+            before = cached.extract_subset("all_pages", everything)
+
+            self.ingest(lab, crawls[2], tmp_path / "incoming")
+            fresh = [plain.browse(url, latest) for url in urls]
+            assert any(page.crawl_index == 2 for page in fresh)
+            assert [cached.browse(url, latest) for url in urls] == fresh
+            after = cached.extract_subset("all_pages", everything)
+            assert after == lab.database.page_count() > before
+            # Content-addressed blobs cannot stale and stay cached.
+            assert any(key.startswith("blob:") for key in cached.cache.keys())
 
 
 class TestConcurrentMetering:
