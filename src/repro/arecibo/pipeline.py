@@ -26,14 +26,14 @@ from repro.arecibo.folding import refine_period
 from repro.arecibo.fourier import search_dm_block, search_spectrum
 from repro.arecibo.metaanalysis import CandidateDatabase, MetaAnalysisReport
 from repro.arecibo.rfi import clean_filterbank, multibeam_coincidence
-from repro.arecibo.singlepulse import SinglePulseEvent, search_single_pulses
+from repro.arecibo.singlepulse import SinglePulseEvent, search_single_pulse_block
 from repro.arecibo.sky import N_BEAMS, Pointing, SkyModel
 from repro.arecibo.telescope import ObservationConfig, ObservationSimulator
 from repro.core.dataflow import DataFlow, StageFn, structural_stub
 from repro.core.dataset import Dataset
 from repro.core.deltas import WindowLedger
 from repro.core.engine import Engine, FlowReport
-from repro.core.errors import IncrementalError
+from repro.core.errors import IncrementalError, SearchError
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.recovery import RetryPolicy
 from repro.core.shards import SharedArray
@@ -76,6 +76,14 @@ class AreciboPipelineConfig:
     workers: int = 1
     executor: str = "thread"
     seed: int = 7
+
+    def __post_init__(self) -> None:
+        # A stride below 1 would make the DM-row loops skip (negative) or
+        # crash inside a farm worker (zero); reject it where it is set.
+        for name in ("accel_dm_stride", "single_pulse_dm_stride"):
+            stride = getattr(self, name)
+            if stride < 1:
+                raise SearchError(f"{name} must be at least 1, got {stride}")
 
 
 @dataclass
@@ -314,12 +322,12 @@ def _search_pointing_shard(
         # Transient search: boxcar ladder over a DM-grid subset,
         # keeping each beam's best detection per time cluster.
         beam_events: dict = {}
-        for row_index in range(0, len(grid.trials), config.single_pulse_dm_stride):
-            for event in search_single_pulses(
-                block[row_index], cleaned.tsamp_s,
-                grid.trials[row_index],
-                snr_threshold=config.single_pulse_threshold,
-            ):
+        stride = config.single_pulse_dm_stride
+        for events in search_single_pulse_block(
+            block[::stride], cleaned.tsamp_s, grid.trials[::stride],
+            snr_threshold=config.single_pulse_threshold,
+        ):
+            for event in events:
                 key = round(event.time_s, 2)
                 current = beam_events.get(key)
                 if current is None or event.snr > current.snr:

@@ -2,9 +2,10 @@
 
 The ROADMAP's north star is a system that runs "as fast as the hardware
 allows"; the compute that dominates every Figure-1 run is shift-and-sum
-dedispersion, Fourier search, and folding.  This module holds the
-vectorized cores those paths share, each one paired with the naive loop it
-replaces (kept as ``*_reference``) so equivalence is testable forever.
+dedispersion, Fourier search, single-pulse boxcar search, and folding.
+This module holds the vectorized cores those paths share, each one paired
+with the naive loop it replaces (kept as ``*_reference``) so equivalence
+is testable forever.
 
 Every kernel here is **bitwise-equivalent** to its reference, not merely
 close: batched execution performs the same floating-point operations in
@@ -142,14 +143,130 @@ def threshold_hits(
     snrs = np.asarray(snrs)
     if snrs.ndim != 2:
         raise KernelError("threshold_hits needs a 2-D S/N block")
-    rows, bins = np.nonzero(snrs >= threshold)
-    # np.nonzero is row-major, so `rows` is sorted; searchsorted finds the
-    # per-row slice boundaries without a Python-level groupby.
-    bounds = np.searchsorted(rows, np.arange(snrs.shape[0] + 1))
+    # Flat indices are row-major, so `rows` comes out sorted (as from
+    # np.nonzero, which is several times slower on a 2-D mask);
+    # searchsorted finds the per-row slice boundaries without a
+    # Python-level groupby.
+    flat = np.flatnonzero(snrs >= threshold)
+    rows, bins = np.divmod(flat, snrs.shape[1])
+    values = snrs[rows, bins]
+    bounds = np.searchsorted(rows, np.arange(snrs.shape[0] + 1)).tolist()
     return [
-        (bins[bounds[r] : bounds[r + 1]], snrs[r, bins[bounds[r] : bounds[r + 1]]])
-        for r in range(snrs.shape[0])
+        (bins[lo:hi], values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
+
+
+BoxcarHits = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def boxcar_snr(series: np.ndarray, width: int) -> np.ndarray:
+    """Matched-filter S/N of a ``width``-sample boxcar at every offset of a
+    1-D series.
+
+    Mean and standard deviation are estimated robustly (median / MAD) so a
+    bright pulse does not suppress its own significance.  This is the
+    per-width building block of :func:`boxcar_search_reference`.
+    """
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim != 1:
+        raise KernelError("time series must be 1-D")
+    if width < 1 or width > len(series):
+        raise KernelError(f"bad boxcar width {width} for {len(series)} samples")
+    median = np.median(series)
+    mad = np.median(np.abs(series - median))
+    sigma = 1.4826 * mad
+    if sigma <= 0:
+        raise KernelError("degenerate time series (zero MAD)")
+    centered = series - median
+    if width == 1:
+        sums = centered
+    else:
+        cumulative = np.concatenate([[0.0], np.cumsum(centered)])
+        sums = cumulative[width:] - cumulative[:-width]
+    return sums / (sigma * np.sqrt(width))
+
+
+def _stack_hits(
+    widths: Sequence[np.ndarray],
+    offsets: Sequence[np.ndarray],
+    snrs: Sequence[np.ndarray],
+) -> BoxcarHits:
+    if not offsets:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=np.float64)
+    return np.concatenate(widths), np.concatenate(offsets), np.concatenate(snrs)
+
+
+def boxcar_search(
+    block: np.ndarray, widths: Sequence[int], threshold: float
+) -> Sequence[BoxcarHits]:
+    """Boxcar-ladder threshold hits for every row of an ``(n_rows,
+    n_samples)`` block.
+
+    Returns one ``(hit_widths, hit_offsets, hit_snrs)`` triple per row,
+    hits in ``widths`` order, then ascending offset — the order
+    :func:`boxcar_search_reference` visits them.  Widths above
+    ``n_samples`` are skipped.  Median and MAD are per-row reductions
+    along ``axis=1`` taken once for the whole ladder, and every width is a
+    difference of one per-row ``cumsum`` (a sequential accumulate, like
+    the 1-D call), so each S/N value is bitwise the reference's.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2:
+        raise KernelError("boxcar_search needs a 2-D block")
+    n_rows, n_samples = block.shape
+    ladder = [width for width in widths if width <= n_samples]
+    if any(width < 1 for width in ladder):
+        raise KernelError(f"bad boxcar width in {tuple(widths)}")
+    per_row: list = [([], [], []) for _ in range(n_rows)]
+    if ladder and n_rows:
+        centered = block - np.median(block, axis=1, keepdims=True)
+        sigmas = 1.4826 * np.median(np.abs(centered), axis=1, keepdims=True)
+        if np.any(sigmas <= 0):
+            raise KernelError("degenerate time series (zero MAD)")
+        cumulative = np.zeros((n_rows, n_samples + 1), dtype=np.float64)
+        np.cumsum(centered, axis=1, out=cumulative[:, 1:])
+        # One scratch block serves every width (threshold_hits copies out
+        # what it keeps); in-place ufuncs round exactly like fresh arrays.
+        scratch = np.empty_like(centered)
+        for width in ladder:
+            snrs = scratch[:, : n_samples - width + 1]
+            if width == 1:
+                sums = centered
+            else:
+                sums = np.subtract(cumulative[:, width:], cumulative[:, :-width], out=snrs)
+            np.divide(sums, sigmas * np.sqrt(width), out=snrs)
+            for row, (offsets, values) in enumerate(threshold_hits(snrs, threshold)):
+                if not len(offsets):
+                    continue
+                hit_widths, hit_offsets, hit_snrs = per_row[row]
+                hit_widths.append(np.full(len(offsets), width, dtype=np.int64))
+                hit_offsets.append(offsets)
+                hit_snrs.append(values)
+    return [_stack_hits(*row) for row in per_row]
+
+
+def boxcar_search_reference(
+    block: np.ndarray, widths: Sequence[int], threshold: float
+) -> Sequence[BoxcarHits]:
+    """The per-row, per-width :func:`boxcar_snr` loop :func:`boxcar_search`
+    replaces."""
+    block = np.asarray(block)
+    if block.ndim != 2:
+        raise KernelError("boxcar_search needs a 2-D block")
+    results = []
+    for series in block:
+        hit_widths, hit_offsets, hit_snrs = [], [], []
+        for width in widths:
+            if width > len(series):
+                continue
+            snrs = boxcar_snr(series, width)
+            offsets = np.flatnonzero(snrs >= threshold)
+            hit_widths.append(np.full(len(offsets), width, dtype=np.int64))
+            hit_offsets.append(offsets)
+            hit_snrs.append(snrs[offsets])
+        results.append(_stack_hits(hit_widths, hit_offsets, hit_snrs))
+    return results
 
 
 def fold_block(

@@ -26,7 +26,12 @@ from repro.arecibo.fourier import (
     search_spectrum,
     summed_snr,
 )
-from repro.arecibo.singlepulse import boxcar_snr, search_single_pulses
+from repro.arecibo.singlepulse import (
+    boxcar_snr,
+    search_single_pulse_block,
+    search_single_pulse_block_reference,
+    search_single_pulses,
+)
 from repro.arecibo.sky import Pulsar, Transient
 from repro.arecibo.telescope import ObservationSimulator
 from repro.core.errors import SearchError
@@ -260,6 +265,34 @@ class TestSinglePulse:
             boxcar_snr(np.zeros(16), 17)
         with pytest.raises(SearchError):
             boxcar_snr(np.zeros(16), 2)  # zero MAD
+
+    def test_block_rows_match_per_row_reference(self, transient_series):
+        filterbank, transient = transient_series
+        grid = DMGrid.matched(filterbank, 2 * transient.dm)
+        block = dedisperse_all(filterbank, grid)[::4]
+        dms = grid.trials[::4]
+        events = search_single_pulse_block(block, filterbank.tsamp_s, dms)
+        assert len(events) == len(dms)
+        assert any(events), "the transient must be seen on some DM row"
+        for row, dm in enumerate(dms):
+            reference = search_single_pulse_block_reference(
+                block[row : row + 1], filterbank.tsamp_s, [dm]
+            )
+            assert events[row] == reference[0]
+            assert search_single_pulses(block[row], filterbank.tsamp_s, dm) == events[row]
+
+    def test_block_validation(self):
+        block = np.random.default_rng(5).normal(size=(2, 64))
+        with pytest.raises(SearchError):
+            search_single_pulse_block(block, 0.0, [0.0, 1.0])
+        with pytest.raises(SearchError):
+            search_single_pulse_block(block, 1e-3, [0.0])  # rows != DMs
+        with pytest.raises(SearchError):
+            search_single_pulse_block(block[0], 1e-3, [0.0])
+        with pytest.raises(SearchError):
+            search_single_pulse_block(np.zeros((2, 64)), 1e-3, [0.0, 1.0])  # zero MAD
+        with pytest.raises(SearchError):
+            search_single_pulses(block, 1e-3, 0.0)
 
 
 class TestSifting:

@@ -7,6 +7,7 @@ from repro.arecibo.pipeline import AreciboPipelineConfig, run_arecibo_pipeline
 from repro.arecibo.singlepulse import SinglePulseEvent
 from repro.arecibo.sky import SkyModel
 from repro.arecibo.telescope import ObservationConfig
+from repro.core.errors import SearchError
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +116,18 @@ class TestTransientPipeline:
         report = run_arecibo_pipeline(tmp_path, config)
         assert report.score.transients_injected == 0
         assert report.score.transient_recall == 1.0
+
+
+@pytest.mark.parametrize("stride_field", ["single_pulse_dm_stride", "accel_dm_stride"])
+@pytest.mark.parametrize("stride", [0, -1, -4])
+def test_dm_strides_below_one_rejected(stride_field, stride):
+    """A negative stride used to skip the search silently; zero crashed a
+    farm worker with a bare ValueError."""
+    with pytest.raises(SearchError, match=stride_field):
+        AreciboPipelineConfig(**{stride_field: stride})
+
+
+@pytest.mark.parametrize("stride_field", ["single_pulse_dm_stride", "accel_dm_stride"])
+def test_dm_stride_of_one_accepted(stride_field):
+    config = AreciboPipelineConfig(**{stride_field: 1})
+    assert getattr(config, stride_field) == 1

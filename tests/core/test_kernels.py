@@ -6,10 +6,15 @@ kernels' contract is bitwise equality with the naive loops they replace.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.errors import KernelError
 from repro.core.kernels import (
     batched_power_spectra,
+    boxcar_search,
+    boxcar_search_reference,
     fold_block,
     harmonic_snr_block,
     index_postings,
@@ -117,6 +122,87 @@ class TestThresholdHits:
     def test_rejects_1d(self):
         with pytest.raises(KernelError):
             threshold_hits(np.zeros(4), 1.0)
+
+
+BOXCAR_WIDTHS = (1, 2, 4, 8, 16, 32)
+
+
+def assert_same_hits(block, widths, threshold):
+    """Batched and reference boxcar hits are bitwise equal, row by row."""
+    batched = boxcar_search(block, widths, threshold)
+    reference = boxcar_search_reference(block, widths, threshold)
+    assert len(batched) == len(reference) == len(block)
+    for batched_row, reference_row in zip(batched, reference):
+        for batched_part, reference_part in zip(batched_row, reference_row):
+            assert np.array_equal(batched_part, reference_part)
+            assert batched_part.dtype == reference_part.dtype
+    return batched
+
+
+class TestBoxcarSearch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference(self, dtype):
+        rng = np.random.default_rng(6)
+        block = rng.normal(size=(7, 512)).astype(dtype)
+        hits = assert_same_hits(block, BOXCAR_WIDTHS, 2.5)
+        assert sum(len(offsets) for _, offsets, _ in hits) > 0
+
+    def test_bright_spike_row(self):
+        rng = np.random.default_rng(7)
+        block = rng.normal(size=(4, 1024))
+        block[2, 300:308] += 15.0
+        hits = assert_same_hits(block, BOXCAR_WIDTHS, 7.0)
+        widths, offsets, _ = hits[2]
+        # Every width of the ladder sees the spike, in width order.
+        assert sorted(set(widths.tolist())) == list(BOXCAR_WIDTHS)
+        assert widths.tolist() == sorted(widths.tolist())
+        assert offsets.min() <= 300 <= offsets.max()
+
+    def test_full_length_width_and_oversized_width(self):
+        rng = np.random.default_rng(8)
+        block = rng.normal(size=(3, 64))
+        hits = assert_same_hits(block, (1, 64, 65), -np.inf)
+        for widths, offsets, _ in hits:
+            # 64 single-sample offsets, one full-length boxcar, no 65s.
+            assert widths.tolist() == [1] * 64 + [64]
+            assert offsets.tolist() == list(range(64)) + [0]
+
+    def test_zero_mad_row_raises(self):
+        rng = np.random.default_rng(9)
+        block = rng.normal(size=(3, 128))
+        block[1] = 5.0
+        for search in (boxcar_search, boxcar_search_reference):
+            with pytest.raises(KernelError, match="zero MAD"):
+                search(block, BOXCAR_WIDTHS, 6.0)
+
+    def test_rejects_bad_inputs(self):
+        for search in (boxcar_search, boxcar_search_reference):
+            with pytest.raises(KernelError):
+                search(np.ones(16), BOXCAR_WIDTHS, 6.0)
+            with pytest.raises(KernelError):
+                search(np.random.default_rng(10).normal(size=(2, 16)), (0, 1), 6.0)
+
+    @given(
+        # Distinct samples keep the MAD nonzero, so most examples reach
+        # the S/N ladder instead of the zero-MAD error.
+        block=arrays(
+            st.sampled_from([np.float32, np.float64]),
+            st.tuples(st.integers(1, 5), st.integers(2, 80)),
+            elements=st.floats(-1e6, 1e6, width=32),
+            unique=True,
+        ),
+        widths=st.lists(st.integers(1, 100), min_size=1, max_size=6),
+        threshold=st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_reference(self, block, widths, threshold):
+        try:
+            boxcar_search_reference(block, widths, threshold)
+        except KernelError:
+            with pytest.raises(KernelError):
+                boxcar_search(block, widths, threshold)
+            return
+        assert_same_hits(block, widths, threshold)
 
 
 class TestFoldBlock:
